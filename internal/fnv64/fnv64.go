@@ -1,10 +1,11 @@
 // Package fnv64 is the repo's one FNV-1a implementation for 64-bit
 // word folding. The auction (price-metric fingerprints, cache metric
 // tags), the provisioner (traffic-matrix and network fingerprints,
-// feasibility-cache keys, the incremental check memo) and the cache
-// persistence layer all derive content-stable identities from it; a
-// single copy keeps those identities mutually consistent — a key
-// written by one process must hash identically when another loads it.
+// feasibility-cache keys), the partition signatures, the synthetic
+// instance fingerprints and the cache persistence layer all derive
+// content-stable identities from it; a single copy keeps those
+// identities mutually consistent — a key written by one process must
+// hash identically when another loads it.
 package fnv64
 
 // FNV-1a constants for the 64-bit variant.

@@ -213,13 +213,7 @@ var pqPool = sync.Pool{New: func() interface{} { return new(pq) }}
 
 // dijkstraInto runs the Dijkstra loop from src over t's Dist/Parent
 // slices (already sized and initialized) using q as heap scratch.
-// trace, when non-nil, is a bitset over EdgeIDs: every edge that wins
-// a relaxation — i.e. writes Dist/Parent and pushes, even if a later
-// relaxation overwrites it — gets its bit set. Edges that never win a
-// relaxation leave no mark on the run's observable state (no writes,
-// no pushes, no heap reordering), which is what makes the trace a
-// sound influence certificate for incremental recheck memoization.
-func dijkstraInto(g *Graph, src NodeID, filter *LinkFilter, t *ShortestTree, q *pq, trace []uint64) {
+func dijkstraInto(g *Graph, src NodeID, filter *LinkFilter, t *ShortestTree, q *pq) {
 	s := g.search(filter)
 	*q = append((*q)[:0], pqItem{node: src})
 	for len(*q) > 0 {
@@ -244,13 +238,9 @@ func dijkstraInto(g *Graph, src NodeID, filter *LinkFilter, t *ShortestTree, q *
 				nd := it.dist + s.cost[k]
 				to := NodeID(s.to[k])
 				if nd < t.Dist[to] {
-					eid := s.eid[k]
 					t.Dist[to] = nd
-					t.Parent[to] = eid
+					t.Parent[to] = s.eid[k]
 					q.push(pqItem{node: to, dist: nd})
-					if trace != nil {
-						trace[eid>>6] |= 1 << (uint32(eid) & 63)
-					}
 				}
 			}
 		}
@@ -273,7 +263,7 @@ func (g *Graph) Dijkstra(src NodeID, filter *LinkFilter) *ShortestTree {
 	t.Dist[src] = 0
 
 	q := pqPool.Get().(*pq)
-	dijkstraInto(g, src, filter, t, q, nil)
+	dijkstraInto(g, src, filter, t, q)
 	pqPool.Put(q)
 	return t
 }
@@ -283,21 +273,13 @@ func (g *Graph) Dijkstra(src NodeID, filter *LinkFilter) *ShortestTree {
 // repeated runs on the same graph. Not safe for concurrent use; use
 // one TreeRouter per goroutine.
 type TreeRouter struct {
-	g     *Graph
-	t     ShortestTree
-	q     pq
-	trace []uint64
+	g *Graph
+	t ShortestTree
+	q pq
 }
 
 // NewTreeRouter returns a reusable single-source engine bound to g.
 func NewTreeRouter(g *Graph) *TreeRouter { return &TreeRouter{g: g} }
-
-// SetTrace installs (or, with nil, removes) a relaxation trace bitset:
-// while set, every Tree call ORs a bit into trace for each edge that
-// wins a relaxation. The bitset must span the graph's edge IDs
-// (NumEdges bits). Tracing never changes routing results — it only
-// observes the winner of each relaxation.
-func (tr *TreeRouter) SetTrace(trace []uint64) { tr.trace = trace }
 
 // Tree computes the shortest-path tree from src, identical to
 // g.Dijkstra(src, filter). The returned tree shares the router's
@@ -318,7 +300,7 @@ func (tr *TreeRouter) Tree(src NodeID, filter *LinkFilter) *ShortestTree {
 		t.Parent[i] = Undefined
 	}
 	t.Dist[src] = 0
-	dijkstraInto(tr.g, src, filter, t, &tr.q, tr.trace)
+	dijkstraInto(tr.g, src, filter, t, &tr.q)
 	return t
 }
 

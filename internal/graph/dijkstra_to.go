@@ -35,16 +35,9 @@ func NewPointRouter(g *Graph) *PointRouter {
 // PointRouter computes point-to-point shortest paths with early
 // termination and zero steady-state allocation. Not concurrency-safe.
 type PointRouter struct {
-	g     *Graph
-	s     dijkstraScratch
-	trace []uint64
+	g *Graph
+	s dijkstraScratch
 }
-
-// SetTrace installs (or, with nil, removes) a relaxation trace bitset
-// with the same contract as TreeRouter.SetTrace: every edge that wins
-// a relaxation in a Path/PathInto call — including first-touch wins —
-// gets its bit ORed in. Tracing never changes results.
-func (pr *PointRouter) SetTrace(trace []uint64) { pr.trace = trace }
 
 // Path returns the cheapest src→dst path, or a path with +Inf cost if
 // none exists. The returned path's Edges slice is freshly allocated
@@ -113,13 +106,9 @@ func (pr *PointRouter) PathInto(buf []EdgeID, src, dst NodeID, filter *LinkFilte
 				} else if nd >= s.dist[to] {
 					continue
 				}
-				eid := sr.eid[k]
 				s.dist[to] = nd
-				s.parent[to] = eid
+				s.parent[to] = sr.eid[k]
 				s.q.push(pqItem{node: NodeID(to), dist: nd})
-				if pr.trace != nil {
-					pr.trace[eid>>6] |= 1 << (uint32(eid) & 63)
-				}
 			}
 		}
 	}

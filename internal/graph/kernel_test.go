@@ -70,7 +70,7 @@ func refFilter(f *LinkFilter) func(EdgeID) bool {
 // refPath is the closure-based point-to-point Dijkstra the CSR kernel
 // replaced, epoch semantics included: a node's first touch in a run
 // always relaxes.
-func refPath(m *refGraph, src, dst NodeID, f *LinkFilter, trace []uint64) ([]EdgeID, float64) {
+func refPath(m *refGraph, src, dst NodeID, f *LinkFilter) ([]EdgeID, float64) {
 	if src == dst {
 		return nil, 0
 	}
@@ -104,7 +104,6 @@ func refPath(m *refGraph, src, dst NodeID, f *LinkFilter, trace []uint64) ([]Edg
 			dist[to] = nd
 			parent[to] = eid
 			q.push(pqItem{node: to, dist: nd})
-			trace[eid>>6] |= 1 << (uint(eid) & 63)
 		}
 	}
 	if !seen[dst] || math.IsInf(dist[dst], 1) {
@@ -123,7 +122,7 @@ func refPath(m *refGraph, src, dst NodeID, f *LinkFilter, trace []uint64) ([]Edg
 
 // refTree is the closure-based single-source Dijkstra the CSR tree
 // kernel replaced.
-func refTree(m *refGraph, src NodeID, f *LinkFilter, trace []uint64) ([]float64, []EdgeID) {
+func refTree(m *refGraph, src NodeID, f *LinkFilter) ([]float64, []EdgeID) {
 	admit := refFilter(f)
 	adj := m.adj()
 	dist := make([]float64, m.n)
@@ -147,7 +146,6 @@ func refTree(m *refGraph, src NodeID, f *LinkFilter, trace []uint64) ([]float64,
 				dist[m.to[eid]] = nd
 				parent[m.to[eid]] = eid
 				q.push(pqItem{node: m.to[eid], dist: nd})
-				trace[eid>>6] |= 1 << (uint(eid) & 63)
 			}
 		}
 	}
@@ -188,56 +186,34 @@ func randomFilter(rng *rand.Rand, edges int) *LinkFilter {
 
 // checkKernels compares PathInto and Tree on g against the reference
 // kernels on the model, for every source and a few destinations per
-// source: same edge sequence, same cost bits, same trace bits.
+// source: the tree's full Dist bits and Parent array, and the path's
+// edge sequence and cost bits.
 func checkKernels(t *testing.T, rng *rand.Rand, g *Graph, m *refGraph) {
 	t.Helper()
-	words := (len(m.from) + 63) / 64
 	pr := NewPointRouter(g)
 	tr := NewTreeRouter(g)
 	var buf []EdgeID
 	for src := 0; src < m.n; src++ {
 		f := randomFilter(rng, len(m.from))
 
-		want, wantTrace := make([]uint64, words), make([]uint64, words)
-		tr.SetTrace(want)
 		tree := tr.Tree(NodeID(src), f)
-		dist, parent := refTree(m, NodeID(src), f, wantTrace)
+		dist, parent := refTree(m, NodeID(src), f)
 		for n := range dist {
 			if math.Float64bits(tree.Dist[n]) != math.Float64bits(dist[n]) || tree.Parent[n] != parent[n] {
 				t.Fatalf("Tree(%d) node %d: dist %v parent %d, reference %v %d", src, n, tree.Dist[n], tree.Parent[n], dist[n], parent[n])
 			}
 		}
-		if !equalWords(want, wantTrace) {
-			t.Fatalf("Tree(%d) trace %x, reference %x", src, want, wantTrace)
-		}
 
 		for k := 0; k < 3; k++ {
 			dst := NodeID(rng.Intn(m.n))
-			got, gotTrace := make([]uint64, words), make([]uint64, words)
-			pr.SetTrace(got)
 			var cost float64
 			buf, cost = pr.PathInto(buf[:0], NodeID(src), dst, f)
-			ref, refCost := refPath(m, NodeID(src), dst, f, gotTrace)
+			ref, refCost := refPath(m, NodeID(src), dst, f)
 			if math.Float64bits(cost) != math.Float64bits(refCost) || !equalEdges(buf, ref) {
 				t.Fatalf("PathInto(%d,%d) = %v cost %v, reference %v cost %v", src, dst, buf, cost, ref, refCost)
 			}
-			if !equalWords(got, gotTrace) {
-				t.Fatalf("PathInto(%d,%d) trace %x, reference %x", src, dst, got, gotTrace)
-			}
 		}
 	}
-}
-
-func equalWords(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func equalEdges(a, b []EdgeID) bool {

@@ -250,7 +250,7 @@ func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, tm
 		return e.sum, e.core
 	}
 	fc.misses.Add(1)
-	return fc.compute(key, p, include, tm, c, opts, metric, needCore)
+	return fc.compute(key, p, include, tm, c, opts, needCore)
 }
 
 // peek returns the entry for key if it can answer a probe of the given
@@ -268,38 +268,15 @@ func (fc *FeasibilityCache) peek(key string, needCore bool) (cacheEntry, bool) {
 	return e, true
 }
 
-// compute runs the miss path for key: consult the workspace's
-// incremental-recheck memo, fall back to a full routing, then store
-// and record. opts must already have defaults.
-func (fc *FeasibilityCache) compute(key string, p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore bool) (CacheSummary, *linkset.Set) {
+// compute runs the miss path for key: a full routing, then store and
+// record. opts must already have defaults.
+func (fc *FeasibilityCache) compute(key string, p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, needCore bool) (CacheSummary, *linkset.Set) {
 	// Compute with Obs stripped: whether this goroutine or a racing
 	// one performs the routing is scheduling luck, so metrics are
-	// recorded per distinct memo entry (insert win) instead — the set
+	// recorded per distinct cache entry (insert win) instead — the set
 	// of distinct keys probed is Workers-invariant.
 	stripped := opts
 	stripped.Obs = nil
-	// Incremental recheck: a recent check on a superset whose removed
-	// links never influenced it replays byte-identically — serve it
-	// without routing. The fc entry stored is exactly what the compute
-	// path would store (coreless for a plain Check, core-carrying for a
-	// CheckCore), so cache state and obs stay byte-identical to a cold
-	// run. A needCore probe can only be served by a memo entry that
-	// carries a core (or is infeasible) — the same rule peek applies.
-	ws := opts.Workspace
-	memoOK := ws != nil && ws.p == p && ws.memoEnabled()
-	if memoOK {
-		if sum, core, ok := ws.memoLookup(include, tm, c, opts, metric, needCore); ok {
-			e := cacheEntry{sum: sum}
-			if needCore {
-				e.core = core
-			}
-			if fc.store(key, e) {
-				recordCheck(opts.Obs, c, sum)
-			}
-			return sum, e.core
-		}
-		stripped.influence = newInfluence(len(p.Links))
-	}
 	var sum CacheSummary
 	var core *linkset.Set
 	if needCore {
@@ -308,11 +285,7 @@ func (fc *FeasibilityCache) compute(key string, p *topo.POCNetwork, include *lin
 		feasible, r := Check(p, include, tm, c, stripped)
 		sum = summarize(p, feasible, r)
 	}
-	if memoOK && !stripped.influence.isInvalid() {
-		ws.memoStore(include, tm, c, opts, metric, stripped.influence, sum, core)
-	}
-	e := cacheEntry{sum: sum, core: core}
-	if fc.store(key, e) {
+	if fc.store(key, cacheEntry{sum: sum, core: core}) {
 		recordCheck(opts.Obs, c, sum)
 	}
 	return sum, core

@@ -1,6 +1,7 @@
 package provision
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/public-option/poc/internal/linkset"
@@ -118,5 +119,70 @@ func TestFeasibilityCacheCoreUpgrade(t *testing.T) {
 	}
 	if fc.Misses() != misses {
 		t.Fatal("core hit recomputed")
+	}
+}
+
+// TestWorkspaceCheckMatchesCold is the cache-vs-cold property test: a
+// random enable/disable sequence driven through one shared Workspace
+// must produce byte-identical Check AND CheckCore results to a cold
+// recompute at every step, for every constraint, at 1 and 4 workers
+// (the parallel scenario sweep runs under -race in CI). A fresh
+// FeasibilityCache per step forces every probe past the exact-key
+// cache and onto the workspace's recycled arenas.
+func TestWorkspaceCheckMatchesCold(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p := ringNet(rng, 12, 14)
+			tm := randomTM(rng, 12, 8, 9)
+			opts := Options{FailureScenarios: 4, Workers: workers}
+			wsOpts := opts
+			wsOpts.Workspace = NewWorkspace(p, opts)
+
+			cur := linkset.All(len(p.Links))
+			var history []*linkset.Set
+			for step := 0; step < 20; step++ {
+				switch rng.Intn(4) {
+				case 0, 1: // remove a few enabled links
+					ids := cur.AppendIDs(nil)
+					for k := 0; k < 1+rng.Intn(3) && len(ids) > 4; k++ {
+						i := rng.Intn(len(ids))
+						cur.Remove(ids[i])
+						ids = append(ids[:i], ids[i+1:]...)
+					}
+				case 2: // add back a removed link
+					for id := 0; id < len(p.Links); id++ {
+						if !cur.Contains(id) && rng.Intn(3) == 0 {
+							cur.Add(id)
+							break
+						}
+					}
+				case 3: // jump back to an earlier set
+					if len(history) > 0 {
+						cur = history[rng.Intn(len(history))].Clone()
+					}
+				}
+				history = append(history, cur.Clone())
+
+				for _, c := range []Constraint{Constraint1, Constraint2, Constraint3} {
+					fc := NewFeasibilityCache()
+					gotOK, gotSum := fc.Check(p, cur, tm, c, wsOpts, 0)
+					coldOK, coldR := Check(p, cur, tm, c, opts)
+					coldSum := summarize(p, coldOK, coldR)
+					if gotOK != coldOK || gotSum != coldSum {
+						t.Fatalf("workers=%d seed=%d step=%d %v: cached (%v %+v) != cold (%v %+v)",
+							workers, seed, step, c, gotOK, gotSum, coldOK, coldSum)
+					}
+
+					fc2 := NewFeasibilityCache()
+					gotOK2, gotCore := fc2.CheckCore(p, cur, tm, c, wsOpts, 0)
+					coldOK2, coldCore := CheckCore(p, cur, tm, c, opts)
+					if gotOK2 != coldOK2 || !sameCore(gotCore, coldCore) {
+						t.Fatalf("workers=%d seed=%d step=%d %v: cached core mismatch (ok %v vs %v)",
+							workers, seed, step, c, gotOK2, coldOK2)
+					}
+				}
+			}
+		}
 	}
 }

@@ -45,8 +45,8 @@ func TestCrossingIndexMatchesScan(t *testing.T) {
 	for _, c := range []Constraint{Constraint1, Constraint2, Constraint3} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			p := memoNet(rng, 9, 16)
-			tm := memoTM(rng, 9, 14, 6)
+			p := ringNet(rng, 9, 16)
+			tm := randomTM(rng, 9, 14, 6)
 			s, ok := NewShaver(p, nil, tm, c, Options{FailureScenarios: 6})
 			if !ok {
 				t.Fatalf("%v seed %d: instance rejected", c, seed)

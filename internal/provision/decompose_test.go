@@ -9,7 +9,7 @@ import (
 	"github.com/public-option/poc/internal/traffic"
 )
 
-// splitNet builds a border-separable POC network: two memoNet-style
+// splitNet builds a border-separable POC network: two ringNet-style
 // rings (nA and nB routers, plus chords) with no links between them.
 func splitNet(rng *rand.Rand, nA, nB, chords int) *topo.POCNetwork {
 	n := nA + nB
@@ -149,8 +149,8 @@ func TestDecomposedFallsBackOnCrossDemand(t *testing.T) {
 	}
 
 	// Connected network: partition has one component, never decomposes.
-	pc := memoNet(rng, 12, 8)
-	tmc := memoTM(rng, 12, 5, 6)
+	pc := ringNet(rng, 12, 8)
+	tmc := randomTM(rng, 12, 5, 6)
 	fc := NewFeasibilityCache()
 	fc.CheckDecomposed(pc, nil, tmc, Constraint2, Options{}, 0)
 	if n := fc.Stats().Decompositions; n != 0 {
@@ -168,9 +168,7 @@ func TestDecomposedSharesCache(t *testing.T) {
 	tm := traffic.NewMatrix(len(p.Routers))
 	sideTM(rng, tm, 0, 10, 4, 6)
 	sideTM(rng, tm, 10, 10, 4, 6)
-	ws := NewWorkspace(p, Options{})
-	ws.SetMemoCapacity(0) // isolate fc behaviour from the recheck memo
-	opts := Options{Workspace: ws}
+	opts := Options{Workspace: NewWorkspace(p, Options{})}
 
 	fc := NewFeasibilityCache()
 	_, first := fc.CheckDecomposed(p, nil, tm, Constraint1, opts, 0)

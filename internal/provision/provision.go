@@ -97,16 +97,10 @@ type Options struct {
 	// histograms). Recording uses only commutative registry
 	// operations, so checks running in parallel counterfactuals stay
 	// deterministic. The FeasibilityCache strips Obs before computing
-	// and records once per distinct memo entry instead, keeping the
+	// and records once per distinct cache entry instead, keeping the
 	// exported counts independent of cache hit/miss scheduling. Obs
 	// never enters cache keys.
 	Obs *obs.Registry
-	// NoMemo disables the incremental-recheck memo in every workspace
-	// built for this call (including the per-determination workspaces
-	// an auction creates internally). Ablation and benchmark-baseline
-	// knob: the memo never changes results, so NoMemo only slows the
-	// call down. Like Workspace, it never enters cache keys.
-	NoMemo bool
 	// Workspace, when non-nil, supplies the reusable routing arenas
 	// and demand caches for this call (and nested scenario routings).
 	// It must have been built for the same network and the same
@@ -114,13 +108,6 @@ type Options struct {
 	// transient workspace is created per call. Like Obs, Workspace
 	// never enters cache keys and never changes results, only speed.
 	Workspace *Workspace
-
-	// influence, when non-nil, collects the link-level influence set of
-	// every routing run under this call: each link that wins a Dijkstra
-	// relaxation anywhere in the check gets its bit ORed in. The
-	// FeasibilityCache sets it to build incremental-recheck certificates
-	// (see workspace memo, DESIGN.md §15). Never set by callers.
-	influence *influence
 }
 
 // workerCount resolves the effective parallelism for n independent
@@ -221,10 +208,6 @@ type router struct {
 	// exported utilization metrics — stay byte-identical.
 	usedScratch []float64
 	touched     []int
-
-	// traceBits is the edge-level relaxation trace buffer, installed on
-	// both Dijkstra engines while an influence sink is active.
-	traceBits []uint64
 
 	// xi is the crossing index of the Shaver live routing this arena
 	// backs (unused otherwise); its storage is kept across reuse.
@@ -450,10 +433,6 @@ func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Op
 	ws := opts.Workspace
 	rt := ws.acquire()
 	defer ws.release(rt)
-	if opts.influence != nil {
-		rt.startTrace()
-		defer rt.stopTrace(opts.influence)
-	}
 	rt.apply(include, opts.Headroom, ws.all)
 	return rt.route(ws, tm, opts, avoidPrimary)
 }
@@ -629,10 +608,6 @@ func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matr
 	ws := opts.Workspace
 	rt := ws.acquire()
 	defer ws.release(rt)
-	if opts.influence != nil {
-		rt.startTrace()
-		defer rt.stopTrace(opts.influence)
-	}
 	rt.apply(include, 0, ws.all)
 
 	var unreachable [][2]int
@@ -682,7 +657,7 @@ func recordCheck(r *obs.Registry, c Constraint, sum CacheSummary) {
 }
 
 // summarize condenses a check's verdict and kept routing into the
-// memo/metrics summary.
+// cache/metrics summary.
 func summarize(p *topo.POCNetwork, feasible bool, r *Routing) CacheSummary {
 	paths := 0
 	for _, asgs := range r.Assignments {
@@ -739,13 +714,9 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 		// which keeps the parallel sweep bit-identical to the serial one.
 		//
 		// A scenario-stage failure aborts the sweep early, so WHICH
-		// scenarios were routed is scheduling luck — the influence sink
-		// would under-approximate. The uniform rule (serial path too, so
-		// worker count can never change memo contents' validity) is to
-		// invalidate the sink on any scenario-stage infeasibility. The
-		// per-routing move maxima are folded only on the all-feasible
-		// verdict, where every scenario completed and the max is
-		// order-independent.
+		// scenarios were routed is scheduling luck. The per-routing move
+		// maxima are therefore folded only on the all-feasible verdict,
+		// where every scenario completed and the max is order-independent.
 		if workers := opts.workerCount(len(scenarios)); workers > 1 {
 			var wg sync.WaitGroup
 			var next atomic.Int64
@@ -774,7 +745,6 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 			}
 			wg.Wait()
 			if infeasible.Load() {
-				opts.influence.markInvalid()
 				return false, base
 			}
 			for _, m := range workerMoves {
@@ -788,7 +758,6 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 			sub := subtract(include, failed, len(p.Links))
 			r := Route(p, sub, tm, opts, nil)
 			if !r.Feasible() {
-				opts.influence.markInvalid()
 				return false, base
 			}
 			if r.moves > base.moves {
@@ -835,7 +804,7 @@ func CheckCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 
 // checkCore is CheckCore without metrics recording, additionally
 // returning the same summary a Check on this key would produce (the
-// memo stores it so hits answer either entry point). opts must
+// FeasibilityCache stores it so hits answer either entry point). opts must
 // already have defaults and a workspace applied.
 func checkCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (bool, *linkset.Set, CacheSummary) {
 	core := linkset.New(len(p.Links))
@@ -866,10 +835,8 @@ func checkCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 				scenarios = append(scenarios, failed)
 			}
 		}
-		// Same invalidation and move-folding rules as checkRouting: the
-		// early-abort sweep makes the influence sink schedule-dependent
-		// on scenario-stage failures, and scenario move maxima are only
-		// well-defined on the all-feasible verdict.
+		// Same move-folding rule as checkRouting: scenario move maxima
+		// are only well-defined on the all-feasible verdict.
 		if workers := opts.workerCount(len(scenarios)); workers > 1 {
 			var wg sync.WaitGroup
 			var mu sync.Mutex
@@ -901,7 +868,6 @@ func checkCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 			}
 			wg.Wait()
 			if infeasible.Load() {
-				opts.influence.markInvalid()
 				return false, nil, summarize(p, false, base)
 			}
 			if scenarioMoves > base.moves {
@@ -912,7 +878,6 @@ func checkCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 		for _, failed := range scenarios {
 			r := Route(p, subtract(include, failed, len(p.Links)), tm, opts, nil)
 			if !r.Feasible() {
-				opts.influence.markInvalid()
 				return false, nil, summarize(p, false, base)
 			}
 			add(r)

@@ -10,10 +10,10 @@ import (
 
 // Continental-scale synthetic instances. The zoo generator (zoo.go)
 // substitutes for the TopologyZoo corpus at the paper's scale —
-// hundreds of logical links. Benchmarking the winner determination's
-// scaling behaviour (pocbench -wd) needs instances an order of
-// magnitude larger with a controllable regional structure, which the
-// corpus pipeline cannot provide. GenerateSynth builds a POCNetwork
+// hundreds of logical links. Exercising the winner determination's
+// scaling behaviour needs instances an order of magnitude larger with
+// a controllable regional structure, which the corpus pipeline cannot
+// provide. GenerateSynth builds a POCNetwork
 // directly: R regional rings with chords, several BPs per region, an exact
 // total link count, and a configurable number of inter-region border
 // links. Border = 0 yields a border-separable instance — the
